@@ -119,8 +119,22 @@ struct EdgeInfo {
     /// Arrival index of the list in which the edge first appeared (and was
     /// sampled).
     first_pos: u32,
+    /// Records in `Q` whose sampled edge this is. Sits in what would be
+    /// padding, so the struct stays 16 bytes; lets an eviction that owns
+    /// no pairs skip the purge entirely.
+    live_pairs: u32,
     /// Discovered pairs charged to this edge (for eviction rollback).
     discoveries: u64,
+}
+
+impl EdgeInfo {
+    fn new(first_pos: u32) -> Self {
+        EdgeInfo {
+            first_pos,
+            live_pairs: 0,
+            discoveries: 0,
+        }
+    }
 }
 
 enum Sampler {
@@ -203,10 +217,8 @@ impl TwoPassTriangle {
 
     /// Register watches/monitors/activations for a freshly stored record.
     fn attach(&mut self, slab: u32, gen: u32) {
-        let rec = self.slab[slab as usize].as_ref().expect("just stored");
-        let verts = rec.verts;
+        let rec = self.slab[slab as usize].clone().expect("just stored");
         for slot in 0..3u8 {
-            let rec = self.slab[slab as usize].as_ref().expect("live");
             let edge = rec.slot_edge(slot as usize);
             let opp = rec.opposite(slot as usize);
             let (a, b) = crate::common::unpack_pair(edge);
@@ -216,16 +228,19 @@ impl TwoPassTriangle {
             self.activations_vec_bytes +=
                 crate::common::push_map_vec(&mut self.activations, opp.0, (slab, gen, slot), 12);
         }
-        let _ = verts;
     }
 
-    /// Tear down a record (unwatch; slab slot freed). Monitor and activation
-    /// entries are cleaned lazily via generation checks.
+    /// Tear down a record (unwatch; slab slot freed; its edge's live count
+    /// dropped). Monitor and activation entries are cleaned lazily via
+    /// generation checks.
     fn destroy(&mut self, slab: u32, gen: u32) {
         if !self.record_live(slab, gen) {
             return;
         }
         let rec = self.slab[slab as usize].take().expect("live record");
+        if let Some(info) = self.s_edges.get_mut(&rec.slot_edge(0)) {
+            info.live_pairs -= 1;
+        }
         for slot in 0..3 {
             let (a, b) = crate::common::unpack_pair(rec.slot_edge(slot));
             self.watcher.unwatch(a, b);
@@ -238,12 +253,16 @@ impl TwoPassTriangle {
     /// `e_key`) and `w` is the apex.
     fn discover(&mut self, e_key: u64, w: VertexId) {
         self.discovered += 1;
-        if let Some(info) = self.s_edges.get_mut(&e_key) {
-            info.discoveries += 1;
-        }
         let (u, v) = crate::common::unpack_pair(e_key);
         let (slab, gen) = self.allocate_with_gen([u, v, w]);
-        match self.q.offer((slab, gen)) {
+        let event = self.q.offer((slab, gen));
+        if let Some(info) = self.s_edges.get_mut(&e_key) {
+            info.discoveries += 1;
+            if !matches!(event, ReservoirEvent::Rejected) {
+                info.live_pairs += 1;
+            }
+        }
+        match event {
             ReservoirEvent::Stored { .. } => {
                 self.counters.pairs_stored += 1;
                 self.attach(slab, gen);
@@ -265,6 +284,13 @@ impl TwoPassTriangle {
     }
 
     /// Purge everything charged to an evicted sampled edge.
+    ///
+    /// O(1) beyond the unwatch when the edge owns no record in `Q` — the
+    /// common case. Otherwise the victims are the live slot-0 entries of
+    /// the edge's `monitors` list (every record registers its sampled edge
+    /// there), destroyed in ascending slab order, and `Q` is compacted in
+    /// one order-preserving pass: both orders feed later state (the free
+    /// list, watcher list positions, reservoir slot indices).
     fn purge_edge(&mut self, e_key: u64) {
         let Some(info) = self.s_edges.remove(&e_key) else {
             return;
@@ -272,30 +298,25 @@ impl TwoPassTriangle {
         let (a, b) = crate::common::unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= info.discoveries;
-        // Destroy pairs discovered at this edge.
-        let victims: Vec<(u32, u32)> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref().and_then(|rec| {
-                    if rec.slot_edge(0) == e_key {
-                        Some((i as u32, rec.gen))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        for (s, g) in victims {
-            self.destroy(s, g);
+        if info.live_pairs > 0 {
+            let mut victims: Vec<(u32, u32)> = self
+                .monitors
+                .get(&e_key)
+                .map_or(&[][..], |v| v)
+                .iter()
+                .filter(|&&(s, g, slot)| slot == 0 && self.record_live(s, g))
+                .map(|&(s, g, _)| (s, g))
+                .collect();
+            debug_assert_eq!(victims.len(), info.live_pairs as usize);
+            victims.sort_unstable();
+            for &(s, g) in &victims {
+                self.destroy(s, g);
+            }
+            // `Q` holds exactly the live records, one per slab slot, so a
+            // slab index identifies a victim.
+            self.q
+                .retain(|&(s, _)| victims.binary_search_by_key(&s, |v| v.0).is_err());
         }
-        let slab = &self.slab;
-        self.q.retain(|&(s, g)| {
-            slab.get(s as usize)
-                .and_then(|r| r.as_ref())
-                .is_some_and(|r| r.gen == g)
-        });
         self.q.set_seen(self.discovered);
     }
 
@@ -344,13 +365,7 @@ impl TwoPassTriangle {
                 if t.accepts(key) {
                     if !self.s_edges.contains_key(&key) {
                         self.counters.admissions += 1;
-                        self.s_edges.insert(
-                            key,
-                            EdgeInfo {
-                                first_pos: self.pos,
-                                discoveries: 0,
-                            },
-                        );
+                        self.s_edges.insert(key, EdgeInfo::new(self.pos));
                         self.watcher.watch(src, dst);
                     }
                 } else {
@@ -360,25 +375,13 @@ impl TwoPassTriangle {
             Sampler::BottomK(b) => match b.offer(key) {
                 BottomKEvent::Inserted => {
                     self.counters.admissions += 1;
-                    self.s_edges.insert(
-                        key,
-                        EdgeInfo {
-                            first_pos: self.pos,
-                            discoveries: 0,
-                        },
-                    );
+                    self.s_edges.insert(key, EdgeInfo::new(self.pos));
                     self.watcher.watch(src, dst);
                 }
                 BottomKEvent::InsertedEvicting(old) => {
                     self.counters.admissions += 1;
                     self.counters.evictions += 1;
-                    self.s_edges.insert(
-                        key,
-                        EdgeInfo {
-                            first_pos: self.pos,
-                            discoveries: 0,
-                        },
-                    );
+                    self.s_edges.insert(key, EdgeInfo::new(self.pos));
                     self.watcher.watch(src, dst);
                     self.purge_edge(old);
                 }
@@ -670,8 +673,8 @@ impl Checkpoint for TwoPassTriangle {
             s_edges.insert(
                 key,
                 EdgeInfo {
-                    first_pos,
                     discoveries,
+                    ..EdgeInfo::new(first_pos)
                 },
             );
         }
@@ -714,6 +717,27 @@ impl Checkpoint for TwoPassTriangle {
                 }
                 other => return Err(corrupt(format!("unknown slab slot tag {other}"))),
             });
+        }
+        // `Q` holds exactly the live records; the per-edge live counts are
+        // derived from them rather than stored.
+        let mut in_q = vec![false; slab.len()];
+        for &(s, g) in q.items() {
+            let live = slab.get(s as usize).and_then(|r| r.as_ref());
+            let fresh = live.is_some_and(|r| r.gen == g) && !in_q[s as usize];
+            if !fresh {
+                return Err(corrupt(
+                    "pair reservoir entry is not a distinct live record",
+                ));
+            }
+            in_q[s as usize] = true;
+        }
+        if slab.iter().flatten().count() != q.len() {
+            return Err(corrupt("live record missing from the pair reservoir"));
+        }
+        for rec in slab.iter().flatten() {
+            if let Some(info) = s_edges.get_mut(&rec.slot_edge(0)) {
+                info.live_pairs += 1;
+            }
         }
         let n = read_usize(r)?;
         let mut free = Vec::with_capacity(n.min(1 << 16));
@@ -1000,6 +1024,25 @@ mod tests {
             let act: usize = a.activations.values().map(|v| v.capacity() * 12 + 24).sum();
             (mon, act)
         };
+        // Each sampled edge's live-pair count against a slab rescan.
+        let check_live_pairs = |a: &TwoPassTriangle, pass: usize| {
+            let mut owned: FastMap<u64, u32> = FastMap::default();
+            for rec in a.slab.iter().flatten() {
+                *owned.entry(rec.slot_edge(0)).or_default() += 1;
+            }
+            for (key, info) in &a.s_edges {
+                let want = owned.get(key).copied().unwrap_or(0);
+                assert_eq!(info.live_pairs, want, "pass {pass} edge {key:#x}");
+            }
+            // Every live record is owned by a sampled edge, and is in `Q`.
+            let owned_total: u32 = a.s_edges.values().map(|i| i.live_pairs).sum();
+            let live = a.slab.iter().flatten().count();
+            assert_eq!(
+                (owned_total as usize, live),
+                (live, a.q.len()),
+                "pass {pass}"
+            );
+        };
         for pass in 0..2 {
             algo.begin_pass(pass);
             let mut current = None;
@@ -1012,6 +1055,7 @@ mod tests {
                             rescan(&algo),
                             "pass {pass}"
                         );
+                        check_live_pairs(&algo, pass);
                     }
                     algo.begin_list(it.src);
                     current = Some(it.src);
@@ -1025,6 +1069,70 @@ mod tests {
             assert_eq!(
                 (algo.monitors_vec_bytes, algo.activations_vec_bytes),
                 rescan(&algo)
+            );
+            check_live_pairs(&algo, pass);
+        }
+        let c = algo.obs_counters().expect("counters");
+        assert!(c.evictions > 0, "the run must exercise bottom-k evictions");
+        assert!(
+            c.pairs_replaced > 0,
+            "the run must exercise reservoir replacements"
+        );
+    }
+
+    /// The estimate of the `estimate-stream` default configuration
+    /// (bottom-k and pair budget m/10) on a power-law graph, and the
+    /// sampler lifecycle counts behind it, pinned exactly: the watcher and
+    /// purge layouts are performance choices and must not move a single
+    /// answer or change what the sampler does.
+    #[test]
+    fn bottomk_runs_on_a_power_law_graph_are_pinned() {
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass;
+        use adjstream_stream::AdjListStream;
+
+        assert_eq!(std::mem::size_of::<EdgeInfo>(), 16);
+        let mut rng = StdRng::seed_from_u64(2019);
+        let g = gen::chung_lu(3000, 2.3, 10.0, &mut rng);
+        let k = g.edge_count() / 10;
+        assert_eq!((g.edge_count(), k), (14243, 1424));
+        // seed, estimate bits, [admissions, evictions, pairs stored,
+        // pairs replaced, watches started]
+        for (seed, bits, counts) in [
+            (
+                1u64,
+                0x40d2_7bd3_baed_0756u64,
+                [4744, 3320, 5125, 2089, 20119],
+            ),
+            (2, 0x40d1_96b9_9fb8_a3aa, [4733, 3309, 4524, 1936, 18305]),
+            (3, 0x40d2_a77e_43b5_684b, [4708, 3284, 4880, 2135, 19348]),
+        ] {
+            let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+                seed,
+                edge_sampling: EdgeSampling::BottomK { k },
+                pair_capacity: k,
+            });
+            let order = StreamOrder::shuffled(3000, seed);
+            let (mut peak, mut processed) = (PeakTracker::new(), 0usize);
+            for pass in 0..2 {
+                let stream = AdjListStream::new(&g, order.clone());
+                drive_pass(&mut algo, pass, stream.items(), &mut peak, &mut processed).unwrap();
+            }
+            let c = algo.obs_counters().expect("counters");
+            let got = [
+                c.admissions,
+                c.evictions,
+                c.pairs_stored,
+                c.pairs_replaced,
+                c.watches_started,
+            ];
+            assert_eq!(got, counts, "seed {seed}: counters");
+            let est = algo.finish();
+            assert_eq!(
+                est.estimate.to_bits(),
+                bits,
+                "seed {seed}: estimate {}",
+                est.estimate
             );
         }
     }
@@ -1109,6 +1217,46 @@ mod tests {
             assert_eq!(a, b, "resumed run must reproduce the estimate exactly");
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
             assert!(a.counted > 0, "test graph should actually count triangles");
+        }
+    }
+
+    /// The per-edge live counts are rebuilt from the slab on restore, which
+    /// is only sound when `Q` lists every live record exactly once.
+    #[test]
+    fn checkpoint_restore_rejects_a_reservoir_that_disagrees_with_the_slab() {
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass;
+        use adjstream_stream::AdjListStream;
+
+        let mut rng = StdRng::seed_from_u64(77);
+        let g = gen::gnm(60, 500, &mut rng);
+        let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 9,
+            edge_sampling: EdgeSampling::BottomK { k: 64 },
+            pair_capacity: 96,
+        });
+        let stream = AdjListStream::new(&g, StreamOrder::natural(60));
+        drive_pass(
+            &mut algo,
+            0,
+            stream.items(),
+            &mut PeakTracker::new(),
+            &mut 0,
+        )
+        .unwrap();
+        assert!(algo.q.len() > 1, "the test needs a populated reservoir");
+        let (capacity, seen, rng_state) = algo.q.to_parts();
+        let items = algo.q.items().to_vec();
+        let duplicated = [&items[..], &items[..1]].concat();
+        let dropped = items[1..].to_vec();
+        for (what, q) in [("duplicated", duplicated), ("dropped", dropped)] {
+            algo.q = Reservoir::from_parts(capacity, seen, rng_state, q);
+            let mut buf = Vec::new();
+            algo.save(&mut buf).unwrap();
+            let err = TwoPassTriangle::restore(&mut &buf[..])
+                .err()
+                .unwrap_or_else(|| panic!("{what} entry: accepted"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
 
